@@ -4,7 +4,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: build test race bench bench-diff chaos loadlab fmt vet lint ci clean
+.PHONY: build test race bench bench-diff microbench fuzz chaos loadlab fmt vet lint ci clean
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,20 @@ bench:
 bench-diff:
 	set -o pipefail; $(GO) test -bench . -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_fresh.json -require BENCH_results.json -max-regress 0.2 -regress-match '^BenchmarkE12|^BenchmarkE13|^BenchmarkE14|^BenchmarkE15|^BenchmarkE16|^BenchmarkE17'
 	rm -f BENCH_fresh.json
+
+# Micro-benchmarks of the internal packages (keyed-state apply at 8 to 16k
+# objects, latency histograms) at a real benchtime, with allocations per
+# op. Not gated and not part of `make bench`: nothing is written, so
+# BENCH_results.json is untouched.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1s -benchmem ./internal/...
+
+# Native fuzzing of the keyed snapshot decoder, the bytes snapshot install
+# and range catch-up accept from peers. It must never panic, and anything
+# it accepts must re-encode to the same bytes. Bounded by FUZZTIME.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyedDecodeState$$' -fuzztime $(FUZZTIME) ./internal/dtype
 
 # Deterministic fault-injection suite under the race detector: the
 # crash/recover/prune chaos matrix (crash timing × prune/snapshot options ×
@@ -113,7 +127,7 @@ lint: vet
 		echo "lint: staticcheck not installed; ran go vet only (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1)"; \
 	fi
 
-ci: build lint fmt test race chaos loadlab bench-diff
+ci: build lint fmt test fuzz race chaos loadlab bench-diff
 
 clean:
 	$(GO) clean

@@ -42,12 +42,6 @@ type KeyedOp struct {
 
 func (o KeyedOp) String() string { return fmt.Sprintf("%s/%v", o.Key, o.Op) }
 
-// KeyedState is the state of a Keyed object: object name → inner state.
-// It is treated as immutable; Apply copies it (copy-on-write at map
-// granularity), which keeps per-shard states cheap when the keyspace is
-// partitioned across many shards.
-type KeyedState map[string]State
-
 // KeyInstall replaces the named object's state with a decoded canonical
 // encoding (the inner type's dtype.Snapshotter form). It is the migration
 // payload of live resharding: the source shard drains the object, exports
@@ -89,28 +83,25 @@ const KeyInstalled = "installed"
 func (k Keyed) Name() string { return "keyed:" + k.Inner.Name() }
 
 // Initial implements DataType: an empty keyspace.
-func (k Keyed) Initial() State { return KeyedState(nil) }
+func (k Keyed) Initial() State { return KeyedState{} }
 
 // Apply implements DataType: it applies the inner operator to the named
-// object's state and reports the inner value.
+// object's state and reports the inner value. The result shares all but
+// one root-to-leaf path with s, which is left unchanged.
 func (k Keyed) Apply(s State, op Operator) (State, Value) {
 	cur, ok := s.(KeyedState)
 	if !ok {
 		panic(fmt.Sprintf("dtype: keyed state has type %T, want KeyedState", s))
 	}
-	var key string
-	var next State
-	var v Value
 	switch o := op.(type) {
 	case KeyedOp:
-		key = o.Key
-		inner, ok := cur[key]
+		inner, ok := cur.Get(o.Key)
 		if !ok {
 			inner = k.Inner.Initial()
 		}
-		next, v = k.Inner.Apply(inner, o.Op)
+		next, v := k.Inner.Apply(inner, o.Op)
+		return cur.With(o.Key, next), v
 	case KeyInstall:
-		key = o.Key
 		sn, ok := k.Inner.(Snapshotter)
 		if !ok {
 			return cur, fmt.Sprintf("install failed: inner type %s has no snapshot encoding", k.Inner.Name())
@@ -119,16 +110,10 @@ func (k Keyed) Apply(s State, op Operator) (State, Value) {
 		if err != nil {
 			return cur, fmt.Sprintf("install failed: %v", err)
 		}
-		next, v = decoded, Value(KeyInstalled)
+		return cur.With(o.Key, decoded), Value(KeyInstalled)
 	default:
 		panic(fmt.Sprintf("dtype: keyed data type does not support operator %T", op))
 	}
-	out := make(KeyedState, len(cur)+1)
-	for name, st := range cur {
-		out[name] = st
-	}
-	out[key] = next
-	return out, v
 }
 
 // KeyOf extracts the object name an operator addresses: the Key of a

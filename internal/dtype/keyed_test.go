@@ -31,7 +31,7 @@ func TestKeyedApplyDoesNotMutateInput(t *testing.T) {
 	if _, v := k.Apply(s2, KeyedOp{Key: "a", Op: CtrRead{}}); v != int64(2) {
 		t.Fatalf("later state wrong: read = %v, want 2", v)
 	}
-	if len(s0.(KeyedState)) != 0 {
+	if s0.(KeyedState).Len() != 0 {
 		t.Fatal("initial state mutated")
 	}
 }

@@ -81,7 +81,7 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 	// KeyInstall operator, and retired at the source.
 	for src := 0; src < oldShards; src++ {
 		st := shardStates[src].(dtype.KeyedState)
-		for key, innerState := range st {
+		for _, key := range st.Keys() {
 			if oldRing.ShardOf(key) != src {
 				continue // an object another shard owns cannot sit here
 			}
@@ -89,6 +89,7 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 			if dst == src {
 				continue
 			}
+			innerState, _ := st.Get(key)
 			enc, err := sn.EncodeState(innerState)
 			if err != nil {
 				return fmt.Errorf("spec: exporting %q at cut %d: %w", key, cut, err)
@@ -101,13 +102,7 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 			// Retire the source copy the way a real source does: it stops
 			// serving the key (here: drop it so a routing bug would read a
 			// missing object, not a stale one).
-			pruned := make(dtype.KeyedState, len(st))
-			for k2, s2 := range shardStates[src].(dtype.KeyedState) {
-				if k2 != key {
-					pruned[k2] = s2
-				}
-			}
-			shardStates[src] = pruned
+			shardStates[src] = shardStates[src].(dtype.KeyedState).Without(key)
 		}
 	}
 
@@ -127,9 +122,11 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 	// Final states must agree object by object, each read from the shard
 	// that owns it after the resize, and no shard may hold an object it
 	// does not own (a leaked or resurrected copy).
-	for key, want := range truthState.(dtype.KeyedState) {
+	truth := truthState.(dtype.KeyedState)
+	for _, key := range truth.Keys() {
+		want, _ := truth.Get(key)
 		owner := newRing.ShardOf(key)
-		got, ok := shardStates[owner].(dtype.KeyedState)[key]
+		got, ok := shardStates[owner].(dtype.KeyedState).Get(key)
 		if !ok {
 			return fmt.Errorf("spec: object %q missing from its post-resize owner %d", key, owner)
 		}
@@ -149,7 +146,7 @@ func CheckResizeEquivalence(inner dtype.DataType, seq []ops.Operation, cut, oldS
 		}
 	}
 	for s, raw := range shardStates {
-		for key := range raw.(dtype.KeyedState) {
+		for _, key := range raw.(dtype.KeyedState).Keys() {
 			if newRing.ShardOf(key) != s && oldRing.ShardOf(key) != s {
 				return fmt.Errorf("spec: shard %d holds object %q it never owned", s, key)
 			}
